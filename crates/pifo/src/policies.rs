@@ -575,6 +575,8 @@ pub struct HClockFlow {
     resdue: CffsQueue<(FlowId, u64)>,
     /// Limit-gated flows keyed by `l_rank`: fires release to band 1.
     gate: CffsQueue<(FlowId, u64)>,
+    /// Scratch for `resdue` fires that came early (see `advance`).
+    refile: Vec<(FlowId, u64)>,
     /// Quantization of the band-0 reservation clock (ns per rank unit).
     gran: Nanos,
 }
@@ -596,6 +598,7 @@ impl HClockFlow {
             flows: Vec::new(),
             resdue: CffsQueue::new(65_536, gran, 0),
             gate: CffsQueue::new(65_536, gran, 0),
+            refile: Vec::new(),
             gran,
         }
     }
@@ -699,8 +702,20 @@ impl ObjFlowPolicy for HClockFlow {
             if f.stamp != st || matches!(f.phase, HcPhase::Idle | HcPhase::Res) {
                 continue; // stale, or already in the reservation band
             }
+            if f.r_rank >= now + self.gran {
+                // Filed beyond the window and clamped into its last
+                // bucket: not due yet, so file it again instead.
+                self.refile.push((id, st));
+                continue;
+            }
             f.phase = HcPhase::Res;
             rerank.push(id);
+        }
+        for (id, st) in self.refile.drain(..) {
+            let r = self.flows[id as usize].r_rank;
+            self.resdue
+                .enqueue(r, (id, st))
+                .unwrap_or_else(|_| unreachable!("cFFS clamps"));
         }
         while let Some((_, (id, st))) = self.gate.dequeue_min_le(now) {
             let f = &mut self.flows[id as usize];

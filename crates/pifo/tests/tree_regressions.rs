@@ -6,6 +6,10 @@
 //! 2. `soonest_deadline` busy-woke hosts when the root was unshaped but
 //!    all backlog sat behind shaped descendants (or a parking flow
 //!    policy): it answered `now` although nothing was transmittable.
+//! 3. `HClockFlow` promoted every reservation fire to the reservation
+//!    band. A reservation beyond the 65,536-bucket window was clamped into
+//!    the last bucket, fired long before it was due, and the promoted flow
+//!    was served over its limit.
 
 use eiffel_core::{QueueConfig, QueueKind};
 use eiffel_pifo::policies::Fifo;
@@ -118,4 +122,61 @@ fn soonest_deadline_is_the_gate_wakeup_when_every_flow_is_parked() {
     );
     assert_eq!(t.dequeue(w).map(|p| p.id), Some(1));
     assert!(t.is_empty());
+}
+
+/// `res` far below `lim`: one packet per 1.2 s of reservation against one
+/// per 24 ms of limit, so the reservation clock lies well beyond the
+/// promotion queue's window after the first service. Backlogged flows must
+/// still never leave faster than their limit (one bucket of slack).
+#[test]
+fn hclock_reservation_beyond_the_window_keeps_the_limit() {
+    const FLOWS: u32 = 100;
+    const WIRE_NS: u64 = 1_200;
+    let limit = Rate::kbps(500);
+    let gap = limit.tx_time(1_500).unwrap();
+    let program = format!(
+        "node root kind=flow:hclock res=10kbps lim={}bps share=1",
+        limit.as_bps()
+    );
+    let mut t = eiffel_pifo::compile(&program).unwrap();
+    let root = t.node_by_name("root").unwrap();
+    let mut id = 0;
+    for _ in 0..2 {
+        for f in 0..FLOWS {
+            t.enqueue(0, root, Packet::mtu(id, f, 0)).unwrap();
+            id += 1;
+        }
+    }
+    // Per flow: the earliest instant its next packet may leave.
+    let mut clock = vec![0u64; FLOWS as usize];
+    let (mut now, mut served) = (0u64, 0u64);
+    let mut out = Vec::new();
+    while now < 2_000_000_000 {
+        out.clear();
+        if t.dequeue_batch(now, 32, &mut out) == 0 {
+            now = t.soonest_deadline(now).unwrap().max(now + 1);
+            continue;
+        }
+        for p in &out {
+            let c = &mut clock[p.flow as usize];
+            assert!(
+                now + 1_000 >= *c,
+                "flow {} served at {now} ns, {} ns before its limit allows \
+                 (packet {served})",
+                p.flow,
+                *c - now
+            );
+            *c = (*c).max(now) + gap;
+            t.enqueue(now, root, Packet::mtu(id, p.flow, now)).unwrap();
+            id += 1;
+            served += 1;
+        }
+        now += out.len() as u64 * WIRE_NS;
+    }
+    // Every flow ran at its limit for the whole two seconds.
+    let want = u64::from(FLOWS) * 2_000_000_000 / gap;
+    assert!(
+        served + u64::from(FLOWS) >= want,
+        "{served} of ~{want} served"
+    );
 }

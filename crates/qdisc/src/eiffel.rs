@@ -12,17 +12,45 @@
 //! softirq gap.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use eiffel_core::{CffsQueue, RankedQueue};
 use eiffel_sim::{FlowId, Nanos, Packet};
 
 use crate::qdisc::{ShaperQdisc, TimerStyle};
 
+/// Multiplicative (Fibonacci) hashing for flow-id keys: one multiply per
+/// lookup where SipHash runs its rounds on every stamp. Flow ids are not
+/// adversarial input here, so flooding resistance buys nothing; the
+/// multiply spreads dense ids over the high bits the table probes with.
+#[derive(Default)]
+struct FlowIdHasher(u64);
+
+impl Hasher for FlowIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
 /// Eiffel's shaping qdisc: per-socket stamps + a cFFS.
 pub struct EiffelQdisc {
     queue: CffsQueue<Packet>,
     /// Per-socket shaper clock ("sock.h" state).
-    next_eligible: HashMap<FlowId, Nanos>,
+    next_eligible: HashMap<FlowId, Nanos, BuildHasherDefault<FlowIdHasher>>,
     /// Scratch for the batched dequeue path (ranks are discarded; the
     /// buffer is reused so batching never allocates per call).
     batch_scratch: Vec<(Nanos, Packet)>,
@@ -39,7 +67,7 @@ impl EiffelQdisc {
     pub fn new(buckets: usize, granularity: Nanos) -> Self {
         EiffelQdisc {
             queue: CffsQueue::new(buckets, granularity, 0),
-            next_eligible: HashMap::new(),
+            next_eligible: HashMap::default(),
             batch_scratch: Vec::new(),
         }
     }

@@ -27,16 +27,21 @@
 //! source (syscall) events — softirq context preempts the sender path on a
 //! real core. Unlike the plain arrival-order tie-break of
 //! [`eiffel_sim::EventQueue`], this rule is shard-count-invariant, which is
-//! what makes the N-vs-1 equivalence exact rather than statistical.
+//! what makes the N-vs-1 equivalence exact rather than statistical. The
+//! events ride Eiffel's own FFS-bucketed wheel
+//! ([`eiffel_sim::BucketedEventQueue`]) with the kind folded into the key
+//! (see `EvQueue`).
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use eiffel_chaos::{Admission, AdmitPolicy, ChaosConfig, ShardFaults};
 use eiffel_core::{DegradeTier, MemBudget, FLOW_SETUP_BYTES, PKT_SLAB_BYTES};
 use eiffel_sim::cpu::{IRQ_ENTRY_NS, LOCK_NS, PER_PACKET_STACK_NS};
-use eiffel_sim::{shard_of, CpuCategory, CpuMeter, FlowId, Nanos, Packet, SplitMix64};
+use eiffel_sim::{
+    shard_of, BucketedEventQueue, CpuCategory, CpuMeter, EventScheduler, FlowId, Nanos, Packet,
+    SplitMix64,
+};
 use eiffel_workloads::{
     summarize_closed_loop, ClosedLoopParams, ClosedLoopSource, ClosedLoopSummary,
 };
@@ -365,8 +370,8 @@ impl ShardTrace {
     }
 }
 
-/// Event kinds, ordered so timers sort before sources at equal time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Event kinds; [`Ev::kind`] orders them at equal time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     /// Shard `shard`'s stall window ended: drain its pending ingress ring.
     Resume { shard: u32 },
@@ -377,7 +382,7 @@ enum Ev {
 }
 
 impl Ev {
-    fn kind(&self) -> u8 {
+    fn kind(&self) -> u64 {
         match self {
             // A resuming core first drains the ring its producers filled
             // while it was paused, then its pended timer interrupt fires.
@@ -388,32 +393,67 @@ impl Ev {
     }
 }
 
-/// Min-heap over `(time, kind, seq)`: deterministic, shard-count-invariant
-/// ordering (see the module docs).
-#[derive(Debug, Default)]
-struct EvHeap {
-    heap: BinaryHeap<Reverse<(Nanos, u8, u64, Ev)>>,
-    seq: u64,
+/// Latest instant the folded key `at · 4 + kind` can carry; later events
+/// are filed at it. Runs must end by then ([`drive`] asserts it), so a
+/// clamped event still stops the loop wherever it would have.
+const MAX_AT: Nanos = u64::MAX >> 2;
+
+/// Wheel span in key units, i.e. 1,024 ns: same-instant sources and the
+/// nearest timers take the wheel; the flows' staggered first emissions and
+/// later timers wait in its overflow level. A 2¹⁶-slot wheel ran no faster
+/// on the 20k-flow host and cost memory.
+const WHEEL_SLOTS: usize = 1 << 12;
+
+/// The driver's event queue, in `(time, kind, insertion)` order —
+/// deterministic and shard-count-invariant (see the module docs).
+///
+/// The wheel is keyed `at · 4 + kind`, so its own `(key, insertion)` order
+/// is exactly that order. Only one event ever sorts below the key just
+/// popped: a softirq timer armed for the current instant while that
+/// instant's [`Ev::Source`] is handled. Such timers queue in `now_timers`,
+/// served in insertion order before the wheel — where the fold would have
+/// put them.
+struct EvQueue {
+    wheel: BucketedEventQueue<Ev>,
+    now_timers: VecDeque<Ev>,
 }
 
-impl EvHeap {
+impl EvQueue {
+    fn new() -> Self {
+        EvQueue {
+            wheel: BucketedEventQueue::with_slots(WHEEL_SLOTS),
+            now_timers: VecDeque::new(),
+        }
+    }
+
     fn schedule(&mut self, at: Nanos, ev: Ev) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse((at, ev.kind(), seq, ev)));
+        let key = at.min(MAX_AT) * 4 + ev.kind();
+        if key < self.wheel.now() {
+            assert!(
+                matches!(ev, Ev::Timer { .. }) && at == self.wheel.now() / 4,
+                "event {ev:?} at {at} sorts before the current one"
+            );
+            self.now_timers.push_back(ev);
+        } else {
+            self.wheel.schedule(key, ev);
+        }
     }
 
     fn pop(&mut self) -> Option<(Nanos, Ev)> {
-        self.heap.pop().map(|Reverse((at, _, _, ev))| (at, ev))
+        if let Some(ev) = self.now_timers.pop_front() {
+            return Some((self.wheel.now() / 4, ev));
+        }
+        self.wheel.pop().map(|(key, ev)| (key / 4, ev))
     }
 }
 
 /// One core's live state and its pipeline stages — crate-visible so
 /// [`crate::host::run`] can assemble a `HostReport` from the 1-shard case
 /// and [`crate::threaded`] can run the *same stage code* on a real OS
-/// thread. [`drive`] sequences the stages under the virtual event heap; the
-/// threaded shard loop sequences them under the wall clock. Neither has a
-/// private copy of the enqueue/softirq logic, so the models cannot drift.
+/// thread. [`drive`] sequences the stages under the virtual clock's
+/// [`EvQueue`]; the threaded shard loop sequences them under the wall
+/// clock. Neither has a private copy of the enqueue/softirq logic, so the
+/// models cannot drift.
 pub(crate) struct Shard<Q> {
     pub(crate) qdisc: Q,
     pub(crate) meter: CpuMeter,
@@ -551,7 +591,8 @@ impl<Q: ShaperQdisc> Shard<Q> {
     }
 
     /// Whether the armed timer's deadline has arrived — the threaded
-    /// runtime's poll-side equivalent of the heap delivering a timer event.
+    /// runtime's poll-side equivalent of [`EvQueue`] delivering a timer
+    /// event.
     pub(crate) fn timer_due(&self, now: Nanos) -> bool {
         self.timer_armed_at.is_some_and(|at| now >= at)
     }
@@ -851,7 +892,7 @@ fn refund(
     inflight: &mut [u32],
     sent: &[u64],
     limits: &[u64],
-    events: &mut EvHeap,
+    events: &mut EvQueue,
 ) {
     let i = flow as usize;
     inflight[i] -= 1;
@@ -879,7 +920,7 @@ fn admit_one<Q: ShaperQdisc>(
     sent: &[u64],
     limits: &[u64],
     total_backlog: &mut usize,
-    events: &mut EvHeap,
+    events: &mut EvQueue,
     ov: &mut Overload<'_>,
 ) {
     let flow = pkt.flow;
@@ -998,7 +1039,8 @@ pub(crate) fn drive<Q: ShaperQdisc>(
     // unless configured on `cfg`).
     let mut ov = Overload::new(cfg);
 
-    let mut events = EvHeap::default();
+    assert!(host.duration <= MAX_AT, "virtual duration beyond 2^62 ns");
+    let mut events = EvQueue::new();
     // First emissions: explicit start times (incast waves), or staggered
     // across one pacing gap as in `host::run` — the stagger depends only on
     // the flow id and the *total* flow count, so it is identical at every
@@ -1261,7 +1303,7 @@ pub(crate) fn drive<Q: ShaperQdisc>(
         }
     }
 
-    // End-of-run audit: the books balance after the heap drains too.
+    // End-of-run audit: the books balance after the event loop ends too.
     audit(host.duration, &shards, &pending, next_pkt_id, total_backlog);
     audits += 1;
 
@@ -1283,9 +1325,114 @@ pub(crate) fn drive<Q: ShaperQdisc>(
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::eiffel::EiffelQdisc;
     use eiffel_sim::{Rate, SECOND};
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Pop,
+        /// Schedule an event of `kind` `delta` ns after the current instant.
+        Schedule {
+            kind: u64,
+            delta: Nanos,
+        },
+    }
+
+    /// Ties at the current instant, deltas inside and across the wheel's
+    /// horizon, and far-future events (the stall-length `Resume` case).
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let delta = prop_oneof![
+            4 => Just(0u64),
+            3 => 1u64..2_000,
+            2 => 2_000u64..20_000,
+            1 => 1_000_000u64..100_000_000,
+        ];
+        prop::collection::vec(
+            prop_oneof![
+                3 => Just(Op::Pop),
+                5 => (0u64..3, delta).prop_map(|(kind, delta)| Op::Schedule { kind, delta }),
+            ],
+            1..400,
+        )
+    }
+
+    /// An event of `kind` that carries its insertion number `seq`.
+    fn event(kind: u64, seq: u64) -> Ev {
+        match kind {
+            0 => Ev::Resume { shard: seq as u32 },
+            1 => Ev::Timer {
+                shard: 0,
+                epoch: seq,
+            },
+            _ => Ev::Source(seq as FlowId),
+        }
+    }
+
+    fn seq_of(ev: Ev) -> u64 {
+        match ev {
+            Ev::Resume { shard } => u64::from(shard),
+            Ev::Timer { epoch, .. } => epoch,
+            Ev::Source(flow) => u64::from(flow),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The driver queue pops in exactly the `(time, kind, insertion)`
+        /// order of a reference heap, under the driver's scheduling rule:
+        /// nothing before the current instant, and at the current instant
+        /// nothing of a lower kind — except a timer armed while a source
+        /// is handled.
+        #[test]
+        fn ev_queue_pops_in_reference_heap_order(script in ops()) {
+            let mut q = EvQueue::new();
+            let mut heap: BinaryHeap<Reverse<(Nanos, u64, u64)>> = BinaryHeap::new();
+            let (mut now, mut now_kind, mut seq) = (0u64, 0u64, 0u64);
+            let pop_both = |q: &mut EvQueue, heap: &mut BinaryHeap<_>| {
+                let got = q.pop().map(|(at, ev)| (at, ev.kind(), seq_of(ev)));
+                let want = heap.pop().map(|Reverse(k)| k);
+                prop_assert_eq!(got, want);
+                got
+            };
+            for op in &script {
+                match *op {
+                    Op::Pop => {
+                        if let Some((at, kind, _)) = pop_both(&mut q, &mut heap) {
+                            (now, now_kind) = (at, kind);
+                        }
+                    }
+                    Op::Schedule { kind, mut delta } => {
+                        let timer_under_source = kind == 1 && now_kind == 2;
+                        if delta == 0 && kind < now_kind && !timer_under_source {
+                            delta = 1;
+                        }
+                        q.schedule(now + delta, event(kind, seq));
+                        heap.push(Reverse((now + delta, kind, seq)));
+                        seq += 1;
+                    }
+                }
+            }
+            while pop_both(&mut q, &mut heap).is_some() {}
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sorts before the current one")]
+    fn ev_queue_refuses_a_resume_at_the_current_source() {
+        let mut q = EvQueue::new();
+        q.schedule(5, Ev::Timer { shard: 0, epoch: 0 });
+        q.schedule(5, Ev::Source(0));
+        q.pop();
+        q.pop();
+        q.schedule(5, Ev::Resume { shard: 0 });
+    }
 
     fn small_host(batch: usize) -> HostConfig {
         HostConfig {

@@ -28,7 +28,8 @@
 //!   `Shard::tighten_timer`, `Shard::rearm`) that [`crate::sharded`]'s
 //!   event loop drives under the virtual clock — the two runtimes share one
 //!   body and cannot drift. The event axis here is the wall clock
-//!   (nanoseconds since run start), polled instead of popped from a heap.
+//!   (nanoseconds since run start), polled instead of popped from an event
+//!   queue.
 //! * **Completions** flow back over a second SPSC ring: one [`Completion`]
 //!   per disposed packet, returning TSQ budget to the producer — the TSQ
 //!   callback, as a message. The completion carries the packet's fate
@@ -256,7 +257,7 @@ pub struct ChaosReport {
     /// Conservation check: `emitted − (transmitted + admission_dropped +
     /// evicted + qdisc residue + ring residue)` at join. **Always 0** —
     /// every emitted packet is accounted for at every fault intensity;
-    /// debug builds assert it.
+    /// every build asserts it at join.
     pub final_unaccounted: i64,
 }
 
@@ -587,7 +588,7 @@ fn run_inner<Q: ShaperQdisc + Send>(
         final_unaccounted: producer_out.emitted as i64
             - (disposed + qdisc_residue + ring_residue) as i64,
     };
-    debug_assert_eq!(
+    assert_eq!(
         chaos.final_unaccounted, 0,
         "threaded packet conservation violated"
     );
@@ -760,7 +761,7 @@ fn shard_worker<Q: ShaperQdisc>(
 
         // Softirq: fire when the armed deadline (plus any injected timer
         // jitter) has passed on the wall clock — the poll-side version of
-        // the event heap delivering it.
+        // the virtual driver's event queue delivering it.
         if shard.timer_due(now.saturating_sub(jitter)) {
             shard.softirq(now, batch, &mut drained);
             let penalty = faults.consumer_penalty_ns(now);
