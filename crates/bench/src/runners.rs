@@ -12,8 +12,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use eiffel_bess::{
-    measure_rate, measure_rate_sharded, BessScheduler, BessTc, FlowSpec, HClockEiffel, HClockHeap,
-    PfabricEiffel, PfabricHeap, RoundRobinGen, WARMUP_FRACTION,
+    measure_rate, BessTc, FlowSpec, HClockEiffel, HClockHeap, PfabricEiffel, PfabricHeap,
+    RoundRobinGen, WARMUP_FRACTION,
 };
 use eiffel_dcsim::{run_with, SchedulerBackend, SimConfig, System, Topology};
 use eiffel_qdisc::{
@@ -394,17 +394,17 @@ pub fn hclock_max_rate(
     let specs = flat_specs(flows, agg_limit_mbps);
     let report = match which {
         "eiffel" => {
-            let mut s = HClockEiffel::new(&specs);
-            measure_rate(&mut s, &mut gen, &mut |_| {}, occupancy, dur)
+            let mut s = [HClockEiffel::new(&specs)];
+            measure_rate(&mut s, &mut gen, &mut |_| {}, occupancy, dur, 1)
         }
         "hclock" => {
-            let mut s = HClockHeap::new(&specs);
-            measure_rate(&mut s, &mut gen, &mut |_| {}, occupancy, dur)
+            let mut s = [HClockHeap::new(&specs)];
+            measure_rate(&mut s, &mut gen, &mut |_| {}, occupancy, dur, 1)
         }
         "tc" => {
             let per = Rate::kbps((agg_limit_mbps * 1_000 / flows as u64).max(1));
-            let mut s = BessTc::new(flows, per);
-            measure_rate(&mut s, &mut gen, &mut |_| {}, occupancy, dur)
+            let mut s = [BessTc::new(flows, per)];
+            measure_rate(&mut s, &mut gen, &mut |_| {}, occupancy, dur, 1)
         }
         other => panic!("unknown scheduler '{other}'"),
     };
@@ -508,43 +508,11 @@ pub fn table1_report(args: &BenchArgs) -> BenchReport {
     r
 }
 
-/// The shared Figure 15 workload shape: working occupancy plus the
-/// remaining-size stamper (each flow cycles through a synthetic flow of 64
-/// packets — remaining 64, 63, … 1). One definition so the classic and
-/// sharded cells can never drift onto different workloads.
-fn pfabric_workload(flows: usize) -> (usize, impl FnMut(&mut Packet)) {
-    let occupancy = (2 * flows).clamp(64, 100_000);
-    let mut remaining = vec![0u32; flows];
-    let stamp = move |p: &mut Packet| {
-        let r = &mut remaining[p.flow as usize];
-        if *r == 0 {
-            *r = 64;
-        }
-        p.rank = *r as u64;
-        *r -= 1;
-    };
-    (occupancy, stamp)
-}
-
-/// One Figure 15 cell: pFabric throughput (Mbps at 1500B) for a flow count.
-pub fn pfabric_max_rate(eiffel: bool, flows: usize, dur: Duration) -> f64 {
-    let mut gen = RoundRobinGen::new(flows, 1_500);
-    let (occupancy, mut stamp) = pfabric_workload(flows);
-    let report = if eiffel {
-        let mut s = PfabricEiffel::new();
-        measure_rate(&mut s, &mut gen, &mut stamp, occupancy, dur)
-    } else {
-        let mut s = PfabricHeap::new();
-        measure_rate(&mut s, &mut gen, &mut stamp, occupancy, dur)
-    };
-    report.mbps
-}
-
 /// One Figure 15 cell: aggregate pFabric throughput (Mbps at 1500B) with
 /// the flow set hashed over `shards` scheduler instances, each drained
-/// through the batched trait path with `batch` packets per call.
-/// `(shards, batch) = (1, 1)` is the classic single-instance
-/// packet-at-a-time cell of [`pfabric_max_rate`].
+/// through [`eiffel_bess::BessScheduler::dequeue_batch`] with `batch`
+/// packets per call. `(shards, batch) = (1, 1)` is the paper's
+/// single-instance, packet-at-a-time cell.
 pub fn pfabric_max_rate_sharded(
     eiffel: bool,
     flows: usize,
@@ -553,26 +521,26 @@ pub fn pfabric_max_rate_sharded(
     dur: Duration,
 ) -> f64 {
     let mut gen = RoundRobinGen::new(flows, 1_500);
-    let (occupancy, mut stamp) = pfabric_workload(flows);
-    fn run<S: BessScheduler>(
-        mut shards: Vec<S>,
-        gen: &mut RoundRobinGen,
-        stamp: &mut impl FnMut(&mut Packet),
-        occupancy: usize,
-        dur: Duration,
-        batch: usize,
-    ) -> f64 {
-        measure_rate_sharded(&mut shards, gen, stamp, occupancy, dur, batch)
-            .total
-            .mbps
-    }
-    if eiffel {
-        let insts = (0..shards).map(|_| PfabricEiffel::new()).collect();
-        run(insts, &mut gen, &mut stamp, occupancy, dur, batch)
+    let occupancy = (2 * flows).clamp(64, 100_000);
+    // Remaining-size stamper: each flow cycles through a synthetic flow of
+    // 64 packets (remaining 64, 63, … 1).
+    let mut remaining = vec![0u32; flows];
+    let mut stamp = |p: &mut Packet| {
+        let r = &mut remaining[p.flow as usize];
+        if *r == 0 {
+            *r = 64;
+        }
+        p.rank = *r as u64;
+        *r -= 1;
+    };
+    let report = if eiffel {
+        let mut insts: Vec<_> = (0..shards).map(|_| PfabricEiffel::new()).collect();
+        measure_rate(&mut insts, &mut gen, &mut stamp, occupancy, dur, batch)
     } else {
-        let insts = (0..shards).map(|_| PfabricHeap::new()).collect();
-        run(insts, &mut gen, &mut stamp, occupancy, dur, batch)
-    }
+        let mut insts: Vec<_> = (0..shards).map(|_| PfabricHeap::new()).collect();
+        measure_rate(&mut insts, &mut gen, &mut stamp, occupancy, dur, batch)
+    };
+    report.mbps
 }
 
 /// The Figure 15 claim quoted by the binary banner and EXPERIMENTS.md.
@@ -638,7 +606,8 @@ pub fn fig15_report(args: &BenchArgs, scale: &Fig15Scale) -> BenchReport {
     r.config_str(
         "method",
         "per-flow ranking + on-dequeue ranking; heap baseline re-heapifies on rank change; \
-         flows hashed to shards by eiffel_sim::shard_of; batched dequeue via the trait fast path",
+         flows pinned to shards by eiffel_sim::shard_of; one clock read and one shard visit per \
+         poll of up to 32 packets, drained in dequeue_batch calls of the panel's batch size",
     );
     for &(shards, batch) in &scale.shard_batch {
         let mut sw = Sweep::new(format!("{shards} shard(s), dequeue batch {batch}"), "flows");
@@ -652,12 +621,12 @@ pub fn fig15_report(args: &BenchArgs, scale: &Fig15Scale) -> BenchReport {
         r.push_sweep(sw);
     }
     r.note(
-        "Shards time-slice one physical core (this is a 1-vCPU measurement): the aggregate is \
-         the core's total scheduling capacity, not an N-core extrapolation. Sharding shrinks \
-         each instance's flow set — a binary heap gets shallower and its re-heapify cheaper, \
-         while Eiffel's FFS walk never depended on the flow count to begin with; the batched \
-         panels amortize the min-find through the dequeue_batch trait fast path (order proven \
-         identical to repeated dequeue by property test).",
+        "Shards time-slice one physical core: the aggregate is the core's total scheduling \
+         capacity, not an N-core extrapolation. Sharding shrinks each instance's flow set — a \
+         binary heap gets shallower and its re-heapify cheaper, while Eiffel's FFS walk never \
+         depended on the flow count to begin with. Every panel reads the clock once per poll of \
+         up to 32 packets, so batch 16 vs batch 1 isolates what the dequeue_batch fast path \
+         amortizes (order proven identical to repeated dequeue by property test).",
     );
     r
 }
@@ -2563,8 +2532,17 @@ mod tests {
         );
     }
 
+    /// Serializes the tests that run wall-clock rate cells: in parallel
+    /// they starve each other of CPU.
+    static RATE_CELLS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn rate_cells() -> std::sync::MutexGuard<'static, ()> {
+        RATE_CELLS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn hclock_cells_produce_rates() {
+        let _serial = rate_cells();
         for which in ["eiffel", "hclock", "tc"] {
             let mbps = hclock_max_rate(which, 64, 10_000, 1_500, 1, Duration::from_millis(60));
             assert!(mbps > 1.0, "{which}: {mbps} Mbps");
@@ -2573,8 +2551,9 @@ mod tests {
 
     #[test]
     fn pfabric_eiffel_beats_heap_at_scale() {
-        let e = pfabric_max_rate(true, 3_000, Duration::from_millis(120));
-        let h = pfabric_max_rate(false, 3_000, Duration::from_millis(120));
+        let _serial = rate_cells();
+        let e = pfabric_max_rate_sharded(true, 3_000, 1, 1, Duration::from_millis(120));
+        let h = pfabric_max_rate_sharded(false, 3_000, 1, 1, Duration::from_millis(120));
         assert!(
             e > h,
             "eiffel pfabric {e:.0} Mbps must beat heap {h:.0} Mbps at 3k flows"
@@ -2837,6 +2816,7 @@ mod tests {
     /// shape, positive rates, and a JSON round trip.
     #[test]
     fn fig15_tiny_report_shape() {
+        let _serial = rate_cells();
         let args = BenchArgs::from_iter(["--quick".to_string()], None);
         let r = fig15_report(&args, &Fig15Scale::tiny());
         assert_eq!(r.sweeps.len(), 2, "one panel per (shards, batch) shape");
@@ -2856,21 +2836,6 @@ mod tests {
             doc.get("figure").unwrap().as_str(),
             Some("fig15_pfabric_scaling")
         );
-    }
-
-    /// The sharded cell helper at `(1, 1)` runs the same workload the
-    /// classic single-instance cell does (the shared `pfabric_workload`
-    /// helper guarantees identical stamper and occupancy) and produces a
-    /// usable reading. No wall-clock ratio is asserted: `cargo test` runs
-    /// suites concurrently and rate cells wobble far too much under load
-    /// for that to be meaningful (see EXPERIMENTS.md).
-    #[test]
-    fn fig15_sharded_cell_matches_classic_cell_shape() {
-        let dur = Duration::from_millis(40);
-        let classic = pfabric_max_rate(true, 500, dur);
-        let sharded = pfabric_max_rate_sharded(true, 500, 1, 1, dur);
-        assert!(classic > 0.0 && classic.is_finite());
-        assert!(sharded > 0.0 && sharded.is_finite());
     }
 
     /// The exact Figure 19 report path at miniature scale: panel/series

@@ -58,6 +58,39 @@ fn assert_schema(doc: &JsonValue, figure: &str) {
     }
 }
 
+/// The `name` field of every element of a report array.
+fn names(items: &[JsonValue]) -> Vec<&str> {
+    items
+        .iter()
+        .map(|s| s.get("name").unwrap().as_str().unwrap())
+        .collect()
+}
+
+/// The five queue backends every Figure 16–18 panel compares.
+const FIVE_WAY: [&str; 5] = ["Approx", "cFFS", "BH", "SP-PIFO", "RIFO"];
+
+/// An oracle drain-quality panel: one rank-error and one inversions-per-pop
+/// series per backend, all non-negative, and zero for the exact backends.
+fn assert_drain_quality(sweep: &JsonValue) {
+    let series = sweep.get("series").unwrap().as_array().unwrap();
+    let expect: Vec<String> = ["rank err", "inv/pop"]
+        .iter()
+        .flat_map(|m| FIVE_WAY.iter().map(move |k| format!("{k} {m}")))
+        .collect();
+    assert_eq!(names(series), expect);
+    for s in series {
+        let sname = s.get("name").unwrap().as_str().unwrap();
+        let exact = sname.starts_with("cFFS") || sname.starts_with("BH");
+        for v in s.get("values").unwrap().as_array().unwrap() {
+            let x = v.as_f64().expect("quality cells are numbers");
+            assert!(x >= 0.0, "{sname}: {x}");
+            if exact {
+                assert_eq!(x, 0.0, "exact backend {sname} must score zero");
+            }
+        }
+    }
+}
+
 #[test]
 fn fig12_quick_json_report_has_expected_series() {
     let doc = run_and_parse(env!("CARGO_BIN_EXE_fig12_hclock_scaling"), &["--quick"]);
@@ -271,55 +304,39 @@ fn fig15_quick_json_report_has_expected_series() {
 fn fig16_quick_json_report_has_expected_series() {
     let doc = run_and_parse(env!("CARGO_BIN_EXE_fig16_packets_per_bucket"), &["--quick"]);
     assert_schema(&doc, "fig16_packets_per_bucket");
+    assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
     let sweeps = doc.get("sweeps").unwrap().as_array().unwrap();
     assert_eq!(
         sweeps.len(),
         6,
         "5k/10k plain + 5k/10k batched + 5k/10k quality panels"
     );
-    for sweep in &sweeps[..2] {
-        let series: Vec<&str> = sweep
-            .get("series")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| s.get("name").unwrap().as_str().unwrap())
-            .collect();
+    let sweep_names = names(sweeps);
+    for (tag, at) in [("dequeue_batch", 2..4), ("drain quality", 4..6)] {
         assert_eq!(
-            series,
-            [
-                "Approx",
-                "cFFS",
-                "BH",
-                "SP-PIFO",
-                "RIFO",
-                "Approx est. hit rate"
-            ]
+            sweep_names.iter().filter(|n| n.contains(tag)).count(),
+            2,
+            "{sweep_names:?}"
         );
+        for name in &sweep_names[at] {
+            assert!(name.contains(tag), "{name}");
+        }
     }
-    for sweep in &sweeps[2..4] {
-        let name = sweep.get("name").unwrap().as_str().unwrap();
-        assert!(name.contains("dequeue_batch"), "{name}");
-    }
-    // The drain-quality panels carry the oracle metrics: exact backends
-    // score zero, everything is a finite non-negative number.
-    for sweep in &sweeps[4..] {
-        let name = sweep.get("name").unwrap().as_str().unwrap();
-        assert!(name.contains("drain quality"), "{name}");
+    for sweep in &sweeps[..2] {
         let series = sweep.get("series").unwrap().as_array().unwrap();
-        assert_eq!(series.len(), 10, "5 rank-err + 5 inv/pop series");
-        for s in series {
-            let sname = s.get("name").unwrap().as_str().unwrap();
-            let exact = sname.starts_with("cFFS") || sname.starts_with("BH");
+        let mut expect = FIVE_WAY.to_vec();
+        expect.push("Approx est. hit rate");
+        assert_eq!(names(series), expect);
+        for s in &series[..5] {
             for v in s.get("values").unwrap().as_array().unwrap() {
-                let x = v.as_f64().expect("quality cells are numbers");
-                assert!(x >= 0.0, "{sname}: {x}");
-                if exact {
-                    assert_eq!(x, 0.0, "exact backend {sname} must score zero");
-                }
+                let mpps = v.as_f64().expect("drain rates are numbers");
+                assert!(mpps > 0.0, "drain rates are positive, got {mpps}");
             }
         }
+    }
+    // The drain-quality panels carry the oracle metrics.
+    for sweep in &sweeps[4..] {
+        assert_drain_quality(sweep);
     }
 }
 
@@ -329,35 +346,24 @@ fn fig17_quick_json_report_has_expected_series() {
     assert_schema(&doc, "fig17_occupancy");
     let sweeps = doc.get("sweeps").unwrap().as_array().unwrap();
     assert_eq!(sweeps.len(), 6, "2 bucket counts x 3 fill patterns");
-    let mut patterns_seen = Vec::new();
-    for sweep in sweeps {
-        let name = sweep.get("name").unwrap().as_str().unwrap();
-        for p in ["sparse", "dense", "clustered"] {
-            if name.contains(p) && !patterns_seen.contains(&p) {
-                patterns_seen.push(p);
-            }
-        }
-        let series: Vec<&str> = sweep
-            .get("series")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| s.get("name").unwrap().as_str().unwrap())
-            .collect();
+    let sweep_names = names(sweeps);
+    for p in ["sparse", "dense", "clustered"] {
         assert_eq!(
-            series,
-            [
-                "Approx",
-                "cFFS",
-                "BH",
-                "SP-PIFO",
-                "RIFO",
-                "Approx est. hit rate"
-            ]
+            sweep_names.iter().filter(|n| n.contains(p)).count(),
+            2,
+            "{p}: {sweep_names:?}"
         );
     }
-    assert_eq!(patterns_seen.len(), 3, "all three fill patterns recorded");
+    for sweep in sweeps {
+        let series = sweep.get("series").unwrap().as_array().unwrap();
+        let mut expect = FIVE_WAY.to_vec();
+        expect.push("Approx est. hit rate");
+        assert_eq!(names(series), expect);
+        for v in series[5].get("values").unwrap().as_array().unwrap() {
+            let hit = v.as_f64().expect("hit rates are numbers");
+            assert!((0.0..=1.0).contains(&hit), "hit rate {hit}");
+        }
+    }
 }
 
 #[test]
@@ -366,36 +372,72 @@ fn fig18_quick_json_report_has_expected_series() {
     assert_schema(&doc, "fig18_approx_error");
     let sweeps = doc.get("sweeps").unwrap().as_array().unwrap();
     assert_eq!(sweeps.len(), 3, "estimator panel + 5k/10k quality panels");
-    let est = &sweeps[0];
-    let series: Vec<&str> = est
-        .get("series")
-        .unwrap()
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|s| s.get("name").unwrap().as_str().unwrap())
-        .collect();
-    assert_eq!(series, ["5k buckets", "10k buckets"]);
+    let est = sweeps[0].get("series").unwrap().as_array().unwrap();
+    assert_eq!(names(est), ["5k buckets", "10k buckets"]);
+    for s in est {
+        for v in s.get("values").unwrap().as_array().unwrap() {
+            let err = v.as_f64().expect("estimator errors are numbers");
+            assert!(err >= 0.0, "estimator error {err}");
+        }
+    }
     for sweep in &sweeps[1..] {
         let name = sweep.get("name").unwrap().as_str().unwrap();
         assert!(name.contains("sparse drain quality"), "{name}");
-        let series = sweep.get("series").unwrap().as_array().unwrap();
-        assert_eq!(series.len(), 10, "5 rank-err + 5 inv/pop series");
-        for s in series {
-            let sname = s.get("name").unwrap().as_str().unwrap();
-            let exact = sname.starts_with("cFFS") || sname.starts_with("BH");
-            for v in s.get("values").unwrap().as_array().unwrap() {
-                let x = v.as_f64().expect("quality cells are numbers");
-                assert!(x >= 0.0, "{sname}: {x}");
-                if exact {
-                    assert_eq!(x, 0.0, "exact backend {sname} must score zero");
-                }
-            }
-        }
+        assert_drain_quality(sweep);
     }
     let claim = doc.get("paper_claim").unwrap().as_str().unwrap();
     assert!(
         claim.contains("granularity") && claim.contains("Figure 18"),
         "{claim}"
     );
+}
+
+#[test]
+fn fig_tree_policy_quick_json_report_has_expected_series() {
+    let doc = run_and_parse(env!("CARGO_BIN_EXE_fig_tree_policy"), &["--quick"]);
+    assert_schema(&doc, "fig_tree_policy");
+    assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
+    let sweeps = doc.get("sweeps").unwrap().as_array().unwrap();
+    assert_eq!(sweeps.len(), 1, "{:?}", names(sweeps));
+    let series = sweeps[0].get("series").unwrap().as_array().unwrap();
+    assert_eq!(names(series), ["fifo", "wfq", "lstf", "hclock", "hfsc"]);
+    let batches: Vec<f64> = sweeps[0]
+        .get("param_values")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|v| v.as_f64().unwrap())
+        .collect();
+    assert_eq!(batches, [1.0, 8.0, 64.0]);
+    for s in series {
+        for v in s.get("values").unwrap().as_array().unwrap() {
+            let cost = v.as_f64().expect("policy costs are numbers");
+            assert!(cost > 0.0, "costs are positive, got {cost}");
+        }
+    }
+}
+
+#[test]
+fn fig19_quick_json_report_has_expected_series() {
+    let doc = run_and_parse(env!("CARGO_BIN_EXE_fig19_pfabric_fct"), &["--quick"]);
+    assert_schema(&doc, "fig19_pfabric_fct");
+    assert_eq!(doc.get("quick").unwrap().as_bool(), Some(true));
+    let sweeps = doc.get("sweeps").unwrap().as_array().unwrap();
+    let sweep_names = names(sweeps);
+    assert_eq!(
+        sweeps.len(),
+        5,
+        "3 NFCT panels + throughput + backend comparison: {sweep_names:?}"
+    );
+    for tag in ["throughput", "backend"] {
+        assert!(
+            sweep_names.iter().any(|n| n.contains(tag)),
+            "{sweep_names:?}"
+        );
+    }
+    for sweep in &sweeps[..3] {
+        let series = sweep.get("series").unwrap().as_array().unwrap();
+        assert_eq!(names(series), ["DCTCP", "pFabric", "pFabric-Approx"]);
+    }
 }

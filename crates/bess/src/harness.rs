@@ -5,12 +5,13 @@
 //! cores used, to one core …, and compare the different scheduler
 //! implementations based on the maximum achievable rate."
 //!
-//! [`measure_rate`] runs a scheduler in a tight single-threaded loop for a
-//! real-time duration: keep the backlog topped up from a generator, drain
-//! in batches of 32 (BESS's batch unit), clock the scheduler with real
-//! elapsed nanoseconds (so rate *limits* bind in real time), and report the
-//! achieved rate. A CPU-bound scheduler lands below its configured limit;
-//! an efficient one saturates it (capped at line rate by the caller).
+//! [`measure_rate`] runs one or more scheduler shards in a tight
+//! single-threaded loop for a real-time duration: keep the backlog topped
+//! up from a generator, drain in batches of 32 (BESS's batch unit), clock
+//! the schedulers with real elapsed nanoseconds (so rate *limits* bind in
+//! real time), and report the achieved rate. A CPU-bound scheduler lands
+//! below its configured limit; an efficient one saturates it (capped at
+//! line rate by the caller).
 
 use std::time::{Duration, Instant};
 
@@ -29,15 +30,6 @@ pub trait BessScheduler {
     /// Whether no packets are queued.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Accepts a whole generator batch in one call, draining `pkts` in
-    /// order — BESS hands schedulers `PacketBatch`es, not single packets.
-    /// The default is the enqueue loop verbatim.
-    fn enqueue_batch(&mut self, now: Nanos, pkts: &mut Vec<Packet>) {
-        for pkt in pkts.drain(..) {
-            self.enqueue(now, pkt);
-        }
     }
 
     /// Releases up to `max` eligible packets in exactly the order repeated
@@ -176,13 +168,6 @@ impl EdgeWindow {
         }
     }
 
-    /// Forgets warmup-era edges (call where the counters reset).
-    fn reset(&mut self) {
-        self.prev_idle = false;
-        self.first = None;
-        self.last = None;
-    }
-
     /// Feeds one poll iteration: `pkts`/`bytes` are the counters *before*
     /// this iteration's drain, so an idle→busy edge snapshot sits exactly
     /// on the burst boundary.
@@ -211,8 +196,21 @@ impl EdgeWindow {
     }
 }
 
-/// Busy-polls `sched` for `duration` (real time), topping the backlog up to
-/// `occupancy` packets from `gen` and draining in batches of [`BATCH`].
+/// Busy-polls the `shards` for `duration` (real time) on the calling core,
+/// keeping the total backlog at `occupancy` packets from `gen`, and reports
+/// the aggregate rate.
+///
+/// Each poll reads the clock once, visits one shard (round-robin) and
+/// drains up to [`BATCH`] packets from it in
+/// [`BessScheduler::dequeue_batch`] calls of at most `batch` packets, so
+/// the clock costs the same per packet at every shard count and batch
+/// size. `batch = 1` is packet-at-a-time polling through
+/// [`BessScheduler::dequeue`]. Each released packet is replaced at once
+/// (enqueue cost stays inside the measured loop, as in BESS) on its flow's
+/// home shard: flows are pinned by [`eiffel_sim::shard_of`] through a
+/// table built before the clock starts.
+/// Several shards time-slice this one core, so the aggregate is the core's
+/// total scheduling capacity, not an N-core extrapolation.
 ///
 /// `stamp` is the annotator hook: it ranks packets before they enter the
 /// scheduler (pFabric stamps remaining sizes here).
@@ -228,22 +226,30 @@ impl EdgeWindow {
 /// that used to read up to ~8% over the configured limit at 120k
 /// occupancy (pinned by `tests/measure_rate_regression.rs`).
 pub fn measure_rate<S: BessScheduler>(
-    sched: &mut S,
+    shards: &mut [S],
     gen: &mut RoundRobinGen,
     stamp: &mut impl FnMut(&mut Packet),
     occupancy: usize,
     duration: Duration,
+    batch: usize,
 ) -> RateReport {
+    assert!(!shards.is_empty(), "at least one shard");
+    let n_shards = shards.len();
+    let batch = batch.max(1);
+    // Each flow's shard, looked up per refill instead of hashed (a single
+    // shard skips even the lookup).
+    let home: Vec<u32> = (0..gen.flows())
+        .map(|f| eiffel_sim::shard_of(f, n_shards) as u32)
+        .collect();
     // Pre-fill to the working occupancy so the measured loop runs at the
     // intended backlog — the paper's schedulers hold thousands of queued
     // packets, and the baselines' costs scale with that backlog.
-    {
-        let now0 = 0;
-        while sched.len() < occupancy {
-            let mut p = gen.next(now0);
-            stamp(&mut p);
-            sched.enqueue(now0, p);
-        }
+    let mut held: usize = shards.iter().map(S::len).sum();
+    while held < occupancy {
+        let mut p = gen.next(0);
+        stamp(&mut p);
+        shards[home[p.flow as usize] as usize].enqueue(0, p);
+        held += 1;
     }
     let warmup = duration.mul_f64(WARMUP_FRACTION);
     let total = duration + warmup;
@@ -253,6 +259,8 @@ pub fn measure_rate<S: BessScheduler>(
     let mut measured_from = Duration::ZERO;
     let mut warming = true;
     let mut edges = EdgeWindow::new();
+    let mut out: Vec<Packet> = Vec::with_capacity(BATCH);
+    let mut cursor = 0;
     loop {
         let elapsed = start.elapsed();
         if elapsed >= total {
@@ -265,441 +273,76 @@ pub fn measure_rate<S: BessScheduler>(
             sent_pkts = 0;
             sent_bytes = 0;
             measured_from = elapsed;
-            edges.reset();
+            edges = EdgeWindow::new();
         }
         let now = elapsed.as_nanos() as Nanos;
-        let (pre_pkts, pre_bytes) = (sent_pkts, sent_bytes);
-        // Consumer side: one batch.
-        let mut drained = 0;
-        for _ in 0..BATCH {
-            match sched.dequeue(now) {
-                Some(p) => {
-                    sent_pkts += 1;
-                    sent_bytes += p.bytes as u64;
-                    drained += 1;
-                }
-                None => break,
-            }
-        }
-        edges.observe(elapsed, pre_pkts, pre_bytes, drained);
-        // Producer side: replace what left, keeping occupancy constant
-        // (enqueue cost stays inside the measured loop, as in BESS).
-        for _ in 0..drained {
-            let mut p = gen.next(now);
-            stamp(&mut p);
-            sched.enqueue(now, p);
-        }
-    }
-    let window = start.elapsed() - measured_from;
-    let (secs, pkts, bytes) = edges.span(window, sent_pkts, sent_bytes);
-    RateReport {
-        pps: pkts as f64 / secs,
-        mbps: bytes as f64 * 8.0 / secs / 1e6,
-        packets: sent_pkts,
-    }
-}
-
-/// [`measure_rate`] with the batched trait entry points: the consumer side
-/// drains up to `batch` packets per [`BessScheduler::dequeue_batch`] call
-/// and the producer refills through [`BessScheduler::enqueue_batch`] —
-/// the per-flow-batching machinery of Figure 13 applied to the scheduler's
-/// own dequeue path. `batch = 1` degenerates to packet-at-a-time polling.
-pub fn measure_rate_batched<S: BessScheduler>(
-    sched: &mut S,
-    gen: &mut RoundRobinGen,
-    stamp: &mut impl FnMut(&mut Packet),
-    occupancy: usize,
-    duration: Duration,
-    batch: usize,
-) -> RateReport {
-    let batch = batch.max(1);
-    {
-        let now0 = 0;
-        while sched.len() < occupancy {
-            let mut p = gen.next(now0);
-            stamp(&mut p);
-            sched.enqueue(now0, p);
-        }
-    }
-    let warmup = duration.mul_f64(WARMUP_FRACTION);
-    let total = duration + warmup;
-    let start = Instant::now();
-    let mut sent_pkts = 0u64;
-    let mut sent_bytes = 0u64;
-    let mut measured_from = Duration::ZERO;
-    let mut warming = true;
-    let mut edges = EdgeWindow::new();
-    let mut outbuf: Vec<Packet> = Vec::with_capacity(batch);
-    let mut inbuf: Vec<Packet> = Vec::with_capacity(batch);
-    loop {
-        let elapsed = start.elapsed();
-        if elapsed >= total {
-            break;
-        }
-        if warming && elapsed >= warmup {
-            warming = false;
-            sent_pkts = 0;
-            sent_bytes = 0;
-            measured_from = elapsed;
-            edges.reset();
-        }
-        let now = elapsed.as_nanos() as Nanos;
-        let (pre_pkts, pre_bytes) = (sent_pkts, sent_bytes);
-        outbuf.clear();
-        let drained = sched.dequeue_batch(now, batch, &mut outbuf);
-        for p in &outbuf {
-            sent_pkts += 1;
-            sent_bytes += p.bytes as u64;
-        }
-        edges.observe(elapsed, pre_pkts, pre_bytes, drained);
-        for _ in 0..drained {
-            let mut p = gen.next(now);
-            stamp(&mut p);
-            inbuf.push(p);
-        }
-        sched.enqueue_batch(now, &mut inbuf);
-    }
-    let window = start.elapsed() - measured_from;
-    let (secs, pkts, bytes) = edges.span(window, sent_pkts, sent_bytes);
-    RateReport {
-        pps: pkts as f64 / secs,
-        mbps: bytes as f64 * 8.0 / secs / 1e6,
-        packets: sent_pkts,
-    }
-}
-
-/// Outcome of a sharded busy-poll run.
-#[derive(Debug, Clone)]
-pub struct ShardedRateReport {
-    /// Aggregate across all shards.
-    pub total: RateReport,
-    /// Per-shard achieved packets per second.
-    pub per_shard_pps: Vec<f64>,
-}
-
-/// Busy-polls `shards.len()` scheduler instances round-robin on one
-/// physical core, flows pinned to shards by [`eiffel_sim::shard_of`].
-///
-/// This is the scale-out shape of the §5.1.2/§5.1.3 deployments: each
-/// simulated core owns one scheduler over `flows / N` of the flow set, so
-/// per-shard structures shrink with the shard count (a heap gets shallower;
-/// Eiffel's bucket walk was never depth-bound to begin with — the contrast
-/// Figure 15's sharded panels record). The shards time-slice *one* physical
-/// core here, so the aggregate is the core's total scheduling capacity, not
-/// an N-core extrapolation; per-shard rates are reported for that reading.
-pub fn measure_rate_sharded<S: BessScheduler>(
-    shards: &mut [S],
-    gen: &mut RoundRobinGen,
-    stamp: &mut impl FnMut(&mut Packet),
-    occupancy: usize,
-    duration: Duration,
-    batch: usize,
-) -> ShardedRateReport {
-    assert!(!shards.is_empty(), "at least one shard");
-    let n_shards = shards.len();
-    let batch = batch.max(1);
-    {
-        let now0 = 0;
-        let mut held = 0;
-        while held < occupancy {
-            let mut p = gen.next(now0);
-            stamp(&mut p);
-            shards[eiffel_sim::shard_of(p.flow, n_shards)].enqueue(now0, p);
-            held += 1;
-        }
-    }
-    let warmup = duration.mul_f64(WARMUP_FRACTION);
-    let total = duration + warmup;
-    let start = Instant::now();
-    let mut sent_pkts = vec![0u64; n_shards];
-    let mut sent_bytes = 0u64;
-    let mut measured_from = Duration::ZERO;
-    let mut warming = true;
-    let mut outbuf: Vec<Packet> = Vec::with_capacity(batch);
-    let mut inbufs: Vec<Vec<Packet>> = vec![Vec::with_capacity(batch); n_shards];
-    let mut cursor = 0usize;
-    loop {
-        let elapsed = start.elapsed();
-        if elapsed >= total {
-            break;
-        }
-        if warming && elapsed >= warmup {
-            warming = false;
-            sent_pkts.iter_mut().for_each(|c| *c = 0);
-            sent_bytes = 0;
-            measured_from = elapsed;
-        }
-        let now = elapsed.as_nanos() as Nanos;
-        // Consumer side: one batch from the shard whose turn it is (the
-        // round-robin core schedule). Exactly one shard visit per clock
-        // read, whatever the shard count — otherwise the harness overhead
-        // per packet would shrink with N and inflate sharded readings.
-        let s = cursor;
+        let shard = &mut shards[cursor];
         cursor = (cursor + 1) % n_shards;
-        outbuf.clear();
-        let drained = shards[s].dequeue_batch(now, batch, &mut outbuf);
-        sent_pkts[s] += drained as u64;
-        for p in &outbuf {
-            sent_bytes += p.bytes as u64;
+        let (pre_pkts, pre_bytes) = (sent_pkts, sent_bytes);
+        let mut drained = 0;
+        if batch == 1 {
+            // `dequeue` releases what `dequeue_batch(now, 1)` would (the
+            // trait contract) without the round trip through `out`, which
+            // costs the cheapest schedulers ~10% of their capacity.
+            while drained < BATCH {
+                let Some(p) = shard.dequeue(now) else { break };
+                sent_bytes += p.bytes as u64;
+                drained += 1;
+            }
+        } else {
+            out.clear();
+            while drained < BATCH {
+                let want = batch.min(BATCH - drained);
+                let got = shard.dequeue_batch(now, want, &mut out);
+                drained += got;
+                if got < want {
+                    break;
+                }
+            }
+            sent_bytes += out.iter().map(|p| p.bytes as u64).sum::<u64>();
         }
-        // Producer side: replace what left, routed by the flow hash (the
-        // refill may land on any shard; totals stay at `occupancy`).
+        sent_pkts += drained as u64;
+        edges.observe(elapsed, pre_pkts, pre_bytes, drained);
         for _ in 0..drained {
             let mut p = gen.next(now);
             stamp(&mut p);
-            inbufs[eiffel_sim::shard_of(p.flow, n_shards)].push(p);
-        }
-        for (s, shard) in shards.iter_mut().enumerate() {
-            if !inbufs[s].is_empty() {
-                shard.enqueue_batch(now, &mut inbufs[s]);
-            }
-        }
-    }
-    let secs = (start.elapsed() - measured_from).as_secs_f64();
-    let packets: u64 = sent_pkts.iter().sum();
-    ShardedRateReport {
-        total: RateReport {
-            pps: packets as f64 / secs,
-            mbps: sent_bytes as f64 * 8.0 / secs / 1e6,
-            packets,
-        },
-        per_shard_pps: sent_pkts.iter().map(|&c| c as f64 / secs).collect(),
-    }
-}
-
-/// Outcome of a threaded busy-poll run.
-#[derive(Debug, Clone)]
-pub struct ThreadedRateReport {
-    /// Aggregate across all shard threads, over the **wall-clock** measured
-    /// window.
-    pub total: RateReport,
-    /// Per-shard achieved packets per second.
-    pub per_shard_pps: Vec<f64>,
-    /// Times the feeder found a shard's ring full (backpressure, retried).
-    pub ring_full_retries: u64,
-}
-
-/// Per-shard statistics slots for [`measure_rate_threaded`].
-const TC_PKTS: usize = 0;
-const TC_BYTES: usize = 1;
-type RateCounters = eiffel_core::CounterBlock<2>;
-
-/// Busy-polls `shards.len()` scheduler instances on **real OS threads**,
-/// one scheduler per thread, flows pinned to shards by
-/// [`eiffel_sim::shard_of`] — the actual multi-worker BESS deployment shape,
-/// where [`measure_rate_sharded`] only time-slices one core.
-///
-/// The calling thread plays the feeder: it keeps each shard's backlog
-/// (SPSC ring + scheduler) topped up to its share of `occupancy`, reading
-/// each shard's transmit counters lock-free ([`eiffel_core::CounterBlock`])
-/// to size the refill. Shard threads pop arrivals from their ring, drain
-/// their scheduler in `batch`es, and publish packet/byte counters; there
-/// are no locks anywhere — rings and single-writer atomics only.
-///
-/// On a machine with fewer physical cores than `shards.len() + 1` the
-/// threads time-slice, so the aggregate reads as the machine's total
-/// scheduling capacity (like the round-robin harness) rather than a
-/// per-core multiple; per-shard rates are reported for that reading.
-pub fn measure_rate_threaded<S: BessScheduler + Send>(
-    shards: Vec<S>,
-    gen: &mut RoundRobinGen,
-    stamp: &mut impl FnMut(&mut Packet),
-    occupancy: usize,
-    duration: Duration,
-    batch: usize,
-) -> ThreadedRateReport {
-    use eiffel_core::ring::SpscRing;
-
-    assert!(!shards.is_empty(), "at least one shard");
-    let n_shards = shards.len();
-    let batch = batch.max(1);
-    let ring_cap = (occupancy / n_shards).max(BATCH) * 2;
-
-    let mut data_tx = Vec::with_capacity(n_shards);
-    let mut data_rx = Vec::with_capacity(n_shards);
-    let mut stop_tx = Vec::with_capacity(n_shards);
-    let mut stop_rx = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        let (tx, rx) = SpscRing::<Packet>::new(ring_cap);
-        data_tx.push(tx);
-        data_rx.push(rx);
-        let (tx, rx) = SpscRing::<()>::new(1);
-        stop_tx.push(tx);
-        stop_rx.push(rx);
-    }
-    let counters: Vec<RateCounters> = (0..n_shards).map(|_| RateCounters::new()).collect();
-
-    // Pre-fill each scheduler to its occupancy share at now = 0, exactly
-    // like the single-threaded harnesses, and remember how much each shard
-    // holds (ring + scheduler) for the refill arithmetic.
-    let mut shards = shards;
-    let mut pushed = vec![0u64; n_shards];
-    {
-        let now0 = 0;
-        let mut held = 0;
-        while held < occupancy {
-            let mut p = gen.next(now0);
-            stamp(&mut p);
-            let s = eiffel_sim::shard_of(p.flow, n_shards);
-            shards[s].enqueue(now0, p);
-            pushed[s] += 1;
-            held += 1;
+            let s = if n_shards == 1 {
+                0
+            } else {
+                home[p.flow as usize] as usize
+            };
+            shards[s].enqueue(now, p);
         }
     }
-
-    let warmup = duration.mul_f64(WARMUP_FRACTION);
-    let total = duration + warmup;
-    let start = Instant::now();
-    let mut ring_full_retries = 0u64;
-    let mut warm_pkts = vec![0u64; n_shards];
-    let mut warm_bytes = vec![0u64; n_shards];
-    let mut warming = true;
-    let mut measured_from = Duration::ZERO;
-    let mut measured_secs = 0.0f64;
-    let mut finals: Vec<(u64, u64)> = Vec::with_capacity(n_shards);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_shards);
-        for (i, mut sched) in shards.into_iter().enumerate().rev() {
-            let mut ring = data_rx.pop().expect("one ring per shard");
-            let mut stop = stop_rx.pop().expect("one stop ring per shard");
-            let stats = &counters[i];
-            handles.push(scope.spawn(move || {
-                let mut inbuf: Vec<Packet> = Vec::with_capacity(BATCH);
-                let mut outbuf: Vec<Packet> = Vec::with_capacity(batch);
-                let mut pkts = 0u64;
-                let mut bytes = 0u64;
-                loop {
-                    if stop.pop().is_some() {
-                        break;
-                    }
-                    let now = start.elapsed().as_nanos() as Nanos;
-                    // Arrivals from the feeder.
-                    inbuf.clear();
-                    if ring.pop_batch(BATCH, &mut inbuf) > 0 {
-                        sched.enqueue_batch(now, &mut inbuf);
-                    }
-                    // One drain batch per clock read, as in the
-                    // single-threaded harnesses.
-                    outbuf.clear();
-                    let drained = sched.dequeue_batch(now, batch, &mut outbuf);
-                    if drained == 0 {
-                        // Nothing eligible: share the core (single-CPU
-                        // machines run the feeder on the same core).
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    pkts += drained as u64;
-                    for p in &outbuf {
-                        bytes += p.bytes as u64;
-                    }
-                    stats.set(TC_PKTS, pkts);
-                    stats.set(TC_BYTES, bytes);
-                }
-                (pkts, bytes)
-            }));
-        }
-        handles.reverse();
-
-        // Feeder loop: replace what left, routed by the flow hash exactly
-        // as in `measure_rate_sharded`. A packet whose ring is full waits
-        // in a per-shard pending buffer (it counts as held, so the global
-        // occupancy target still bounds everything outstanding).
-        let mut pending: Vec<std::collections::VecDeque<Packet>> =
-            vec![std::collections::VecDeque::new(); n_shards];
-        loop {
-            let elapsed = start.elapsed();
-            if elapsed >= total {
-                break;
-            }
-            if warming && elapsed >= warmup {
-                warming = false;
-                measured_from = elapsed;
-                for (s, c) in counters.iter().enumerate() {
-                    warm_pkts[s] = c.read(TC_PKTS);
-                    warm_bytes[s] = c.read(TC_BYTES);
-                }
-            }
-            let now = elapsed.as_nanos() as Nanos;
-            let mut fed = false;
-            // Flush pending arrivals first (FIFO per shard).
-            for (s, q) in pending.iter_mut().enumerate() {
-                while let Some(p) = q.pop_front() {
-                    match data_tx[s].push(p) {
-                        Ok(()) => {
-                            pushed[s] += 1;
-                            fed = true;
-                        }
-                        Err(back) => {
-                            q.push_front(back);
-                            ring_full_retries += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-            // Held anywhere = (pushed − transmitted) + still pending.
-            let held: u64 = (0..n_shards)
-                .map(|s| {
-                    pushed[s].saturating_sub(counters[s].read(TC_PKTS)) + pending[s].len() as u64
-                })
-                .sum();
-            for _ in held..occupancy as u64 {
-                let mut p = gen.next(now);
-                stamp(&mut p);
-                let s = eiffel_sim::shard_of(p.flow, n_shards);
-                match data_tx[s].push(p) {
-                    Ok(()) => {
-                        pushed[s] += 1;
-                        fed = true;
-                    }
-                    Err(back) => {
-                        ring_full_retries += 1;
-                        pending[s].push_back(back);
-                    }
-                }
-            }
-            if !fed {
-                std::thread::yield_now();
-            }
-        }
-        let end = start.elapsed();
-        measured_secs = (end - measured_from).as_secs_f64();
-        for tx in stop_tx.iter_mut() {
-            let _ = tx.push(());
-        }
-        for h in handles {
-            finals.push(h.join().expect("shard thread panicked"));
-        }
-    });
-
-    let secs = measured_secs.max(1e-9);
-    let mut per_shard_pps = Vec::with_capacity(n_shards);
-    let mut pkts_total = 0u64;
-    let mut bytes_total = 0u64;
-    for (s, &(pkts, bytes)) in finals.iter().enumerate() {
-        let p = pkts.saturating_sub(warm_pkts[s]);
-        pkts_total += p;
-        bytes_total += bytes.saturating_sub(warm_bytes[s]);
-        per_shard_pps.push(p as f64 / secs);
-    }
-    ThreadedRateReport {
-        total: RateReport {
-            pps: pkts_total as f64 / secs,
-            mbps: bytes_total as f64 * 8.0 / secs / 1e6,
-            packets: pkts_total,
-        },
-        per_shard_pps,
-        ring_full_retries,
+    let window = start.elapsed() - measured_from;
+    let (secs, pkts, bytes) = edges.span(window, sent_pkts, sent_bytes);
+    RateReport {
+        pps: pkts as f64 / secs,
+        mbps: bytes as f64 * 8.0 / secs / 1e6,
+        packets: sent_pkts,
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
+    use std::sync::{Mutex, MutexGuard};
+
     use super::*;
     use crate::hclock::{FlowSpec, HClockEiffel};
     use crate::pfabric::PfabricEiffel;
     use eiffel_sim::Rate;
+
+    /// Serializes the tests that busy-poll real time: run in parallel they
+    /// starve each other of CPU, and an hClock limit clock banks no credit,
+    /// so lost CPU time reads as rate below the limit.
+    static WALL_CLOCK: Mutex<()> = Mutex::new(());
+
+    fn wall_clock() -> MutexGuard<'static, ()> {
+        WALL_CLOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     /// Equal per-flow specs whose limits sum to `agg_mbps`.
     pub fn flat_specs(flows: usize, agg_mbps: u64) -> Vec<FlowSpec> {
@@ -713,112 +356,161 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn limits_bind_in_real_time() {
-        // 16 flows, 160 Mbps aggregate limit: any modern core can saturate
-        // this, so the measured rate must sit *at* the limit, not above.
+    /// Runs a 16-flow hClock with a 160 Mbps aggregate limit through
+    /// [`measure_rate`] at `batch` and checks the rate hugs the limit: any
+    /// modern core can saturate it, so the rate must sit *at* the limit,
+    /// not above.
+    fn assert_limit_binds(batch: usize) {
+        let _serial = wall_clock();
         let specs = flat_specs(16, 160);
         let mut s = HClockEiffel::new(&specs);
         let mut gen = RoundRobinGen::new(16, 1_500);
         let r = measure_rate(
-            &mut s,
+            std::slice::from_mut(&mut s),
             &mut gen,
             &mut |_| {},
             64,
             Duration::from_millis(200),
+            batch,
         );
         assert!(
             r.mbps > 100.0 && r.mbps < 200.0,
-            "rate {:.1} Mbps should hug the 160 Mbps limit",
+            "batch {batch}: rate {:.1} Mbps should hug the 160 Mbps limit",
             r.mbps
         );
+    }
+
+    #[test]
+    fn limits_bind_in_real_time() {
+        assert_limit_binds(1);
     }
 
     #[test]
     fn batched_rate_limits_still_bind() {
-        // The batched consumer path must not let a rate-limited scheduler
+        // Draining 16 at a time must not let a rate-limited scheduler
         // exceed its configured aggregate.
-        let specs = flat_specs(16, 160);
-        let mut s = HClockEiffel::new(&specs);
-        let mut gen = RoundRobinGen::new(16, 1_500);
-        let r = measure_rate_batched(
-            &mut s,
-            &mut gen,
-            &mut |_| {},
-            64,
-            Duration::from_millis(200),
-            16,
-        );
-        assert!(
-            r.mbps > 100.0 && r.mbps < 200.0,
-            "batched rate {:.1} Mbps should hug the 160 Mbps limit",
-            r.mbps
-        );
+        assert_limit_binds(16);
+    }
+
+    /// What a [`Fake`] shard set saw, shared by all its shards.
+    struct Probe {
+        shards: usize,
+        occupancy: usize,
+        batch: usize,
+        backlog: usize,
+        /// Packets drained so far in the current poll; `None` between polls
+        /// (a refill closes the poll that drained).
+        poll: Option<usize>,
+        drained: Vec<u64>,
+    }
+
+    /// A FIFO shard that checks the harness's bookkeeping as it is called.
+    struct Fake {
+        id: usize,
+        q: VecDeque<Packet>,
+        probe: Rc<RefCell<Probe>>,
+    }
+
+    impl Fake {
+        /// One release call asking for up to `max` packets.
+        fn release(&mut self, max: usize, out: &mut Vec<Packet>) -> usize {
+            let mut probe = self.probe.borrow_mut();
+            assert!(
+                max <= probe.batch,
+                "asked for {max} > batch {}",
+                probe.batch
+            );
+            let so_far = match probe.poll {
+                Some(n) => n,
+                None => {
+                    assert_eq!(probe.backlog, probe.occupancy, "backlog between polls");
+                    0
+                }
+            };
+            let n = max.min(self.q.len());
+            out.extend(self.q.drain(..n));
+            assert!(
+                so_far + n <= BATCH,
+                "one poll drained {} > BATCH",
+                so_far + n
+            );
+            probe.poll = Some(so_far + n);
+            probe.backlog -= n;
+            probe.drained[self.id] += n as u64;
+            n
+        }
+    }
+
+    impl BessScheduler for Fake {
+        fn enqueue(&mut self, _now: Nanos, pkt: Packet) {
+            let mut probe = self.probe.borrow_mut();
+            assert_eq!(
+                eiffel_sim::shard_of(pkt.flow, probe.shards),
+                self.id,
+                "packets land on their flow's home shard"
+            );
+            probe.backlog += 1;
+            probe.poll = None;
+            self.q.push_back(pkt);
+        }
+        fn dequeue(&mut self, _now: Nanos) -> Option<Packet> {
+            let mut out = Vec::with_capacity(1);
+            self.release(1, &mut out);
+            out.pop()
+        }
+        fn len(&self) -> usize {
+            self.q.len()
+        }
+        fn dequeue_batch(&mut self, _now: Nanos, max: usize, out: &mut Vec<Packet>) -> usize {
+            self.release(max, out)
+        }
     }
 
     #[test]
-    fn sharded_rate_sums_shard_contributions() {
-        let mut shards: Vec<PfabricEiffel> = (0..4).map(|_| PfabricEiffel::new()).collect();
-        let mut gen = RoundRobinGen::new(64, 1_500);
-        let mut remaining = vec![0u64; 64];
-        let mut stamper = |p: &mut Packet| {
-            let rem = &mut remaining[p.flow as usize];
-            if *rem == 0 {
-                *rem = 64;
+    fn polls_keep_occupancy_and_respect_batch_bounds() {
+        let _serial = wall_clock();
+        const OCCUPANCY: usize = 96;
+        for n_shards in [1, 3] {
+            for batch in [1, 8, 32] {
+                let probe = Rc::new(RefCell::new(Probe {
+                    shards: n_shards,
+                    occupancy: OCCUPANCY,
+                    batch,
+                    backlog: 0,
+                    poll: None,
+                    drained: vec![0; n_shards],
+                }));
+                let mut shards: Vec<Fake> = (0..n_shards)
+                    .map(|id| Fake {
+                        id,
+                        q: VecDeque::new(),
+                        probe: Rc::clone(&probe),
+                    })
+                    .collect();
+                let mut gen = RoundRobinGen::new(64, 1_500);
+                let r = measure_rate(
+                    &mut shards,
+                    &mut gen,
+                    &mut |_| {},
+                    OCCUPANCY,
+                    Duration::from_millis(10),
+                    batch,
+                );
+                let probe = probe.borrow();
+                assert_eq!(probe.backlog, OCCUPANCY, "{n_shards} shards, batch {batch}");
+                assert!(
+                    probe.drained.iter().all(|&d| d > 0),
+                    "{n_shards} shards, batch {batch}: every shard drained {:?}",
+                    probe.drained
+                );
+                assert!(r.packets > 0 && r.pps > 0.0);
             }
-            p.rank = *rem;
-            *rem -= 1;
-        };
-        let r = measure_rate_sharded(
-            &mut shards,
-            &mut gen,
-            &mut stamper,
-            256,
-            Duration::from_millis(100),
-            8,
-        );
-        assert_eq!(r.per_shard_pps.len(), 4);
-        let sum: f64 = r.per_shard_pps.iter().sum();
-        assert!(
-            (sum - r.total.pps).abs() / r.total.pps < 1e-6,
-            "per-shard rates sum to the aggregate"
-        );
-        assert!(r.total.pps > 100_000.0, "got {}", r.total.pps);
-        // Every shard with flows hashed to it made progress.
-        assert!(r.per_shard_pps.iter().all(|&p| p > 0.0));
-    }
-
-    #[test]
-    fn threaded_rate_runs_real_threads_and_limits_bind() {
-        // 2 shard threads, rate-limited schedulers: the wall-clock rate
-        // must hug the configured aggregate (160 Mbps), proving the rings
-        // keep the backlog fed and the limit clocks run on real time.
-        let specs = flat_specs(16, 160);
-        let shards: Vec<HClockEiffel> = (0..2).map(|_| HClockEiffel::new(&specs)).collect();
-        let mut gen = RoundRobinGen::new(16, 1_500);
-        let r = measure_rate_threaded(
-            shards,
-            &mut gen,
-            &mut |_| {},
-            64,
-            Duration::from_millis(200),
-            8,
-        );
-        assert_eq!(r.per_shard_pps.len(), 2);
-        assert!(
-            r.total.mbps > 100.0 && r.total.mbps < 220.0,
-            "threaded rate {:.1} Mbps should hug the 160 Mbps limit",
-            r.total.mbps
-        );
-        let sum: f64 = r.per_shard_pps.iter().sum();
-        assert!(
-            (sum - r.total.pps).abs() / r.total.pps.max(1.0) < 1e-6,
-            "per-shard rates sum to the aggregate"
-        );
+        }
     }
 
     #[test]
     fn unlimited_scheduler_is_cpu_bound_not_zero() {
+        let _serial = wall_clock();
         let mut s = PfabricEiffel::new();
         let mut gen = RoundRobinGen::new(100, 1_500);
         let mut remaining = vec![0u64; 100];
@@ -832,11 +524,12 @@ mod tests {
             *rem -= 1;
         };
         let r = measure_rate(
-            &mut s,
+            std::slice::from_mut(&mut s),
             &mut gen,
             &mut stamper,
             256,
             Duration::from_millis(100),
+            1,
         );
         assert!(
             r.pps > 100_000.0,

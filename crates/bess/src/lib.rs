@@ -24,10 +24,7 @@ pub mod pfabric;
 pub mod pktgen;
 pub mod tc;
 
-pub use harness::{
-    measure_rate, measure_rate_batched, measure_rate_sharded, measure_rate_threaded, BessScheduler,
-    RateReport, ShardedRateReport, ThreadedRateReport, BATCH, WARMUP_FRACTION,
-};
+pub use harness::{measure_rate, BessScheduler, RateReport, BATCH, WARMUP_FRACTION};
 pub use hclock::{FlowSpec, HClockEiffel, HClockHeap};
 pub use pfabric::{PfabricEiffel, PfabricHeap};
 pub use pktgen::RoundRobinGen;

@@ -49,8 +49,8 @@ fn fig12_quick() {
 /// Figure 15 path: Eiffel's pFabric beats the heap baseline at scale.
 #[test]
 fn fig15_quick() {
-    let e = runners::pfabric_max_rate(true, 2_000, Duration::from_millis(100));
-    let h = runners::pfabric_max_rate(false, 2_000, Duration::from_millis(100));
+    let e = runners::pfabric_max_rate_sharded(true, 2_000, 1, 1, Duration::from_millis(100));
+    let h = runners::pfabric_max_rate_sharded(false, 2_000, 1, 1, Duration::from_millis(100));
     assert!(e > h, "eiffel {e:.0} Mbps vs heap {h:.0} Mbps");
 }
 
